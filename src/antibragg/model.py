@@ -63,29 +63,72 @@ def lowering_ops(n_qubits):
     return [lowering_op(m, n_qubits) for m in range(1, n_qubits + 1)]
 
 
-def build_hamiltonian(params: ArrayParams) -> Hamiltonian:
-    n, phi, g, om = params.n_qubits, params.phi, params.gamma_1d, params.omega_r
-    sig = lowering_ops(n)
-    dim = params.dim
-    h0 = sparse.csr_matrix((dim, dim), dtype=complex)
-    for m in range(n):
-        for k in range(n):
-            h0 = h0 + (-1j * g * np.exp(1j * phi * abs(m - k))) * (sig[m].conj().T @ sig[k])
-    v = sparse.csr_matrix((dim, dim), dtype=complex)
+def drive_phases(params: ArrayParams):
+    """Phase theta_k of the drive on site k (1-based), so that
+    V = omega_r sum_k (exp(i theta_k) sigma_k^dag + exp(-i theta_k) sigma_k)."""
     sgn = 1.0 if params.drive_from_right else -1.0
-    for k in range(n):
-        # drive phase for injection from the left (or mirrored); sites are 1-based
-        v = v + om * (np.exp(sgn * 1j * phi * (k + 1)) * sig[k].conj().T
-                      + np.exp(-sgn * 1j * phi * (k + 1)) * sig[k])
-    h0, v = canonicalize(h0), canonicalize(v)
+    return sgn * params.phi * np.arange(1, params.n_qubits + 1)
+
+
+def coupling_hamiltonian(params: ArrayParams, sig) -> sparse.csr_matrix:
+    """H0 = -i gamma_1d sum_{m,k} exp(i phi |m-k|) s_m^dag s_k over the
+    site lowering operators `sig` (bare or in any product-rotated frame)."""
+    phi, g = params.phi, params.gamma_1d
+    dim = sig[0].shape[0]
+    h0 = sparse.csr_matrix((dim, dim), dtype=complex)
+    for m in range(len(sig)):
+        for k in range(len(sig)):
+            h0 = h0 + (-1j * g * np.exp(1j * phi * abs(m - k))) * (sig[m].conj().T @ sig[k])
+    return canonicalize(h0)
+
+
+def drive_hamiltonian(params: ArrayParams, sig) -> sparse.csr_matrix:
+    """V = omega_r sum_k (exp(i theta_k) sigma_k^dag + h.c.) over the bare
+    site lowering operators `sig`."""
+    v = sparse.csr_matrix((params.dim, params.dim), dtype=complex)
+    for k, theta in enumerate(drive_phases(params)):
+        v = v + params.omega_r * (np.exp(1j * theta) * sig[k].conj().T
+                                  + np.exp(-1j * theta) * sig[k])
+    return canonicalize(v)
+
+
+def build_hamiltonian(params: ArrayParams) -> Hamiltonian:
+    sig = lowering_ops(params.n_qubits)
+    h0, v = coupling_hamiltonian(params, sig), drive_hamiltonian(params, sig)
     return Hamiltonian(h0=h0, v=v, total=canonicalize(h0 + v))
+
+
+def _hamiltonian_superop(h):
+    """Superoperator of rho -> -i (h rho - rho h^dag), which is
+    -i (I kron h) + i (conj(h) kron I) under column stacking."""
+    ident = identity_op(h.shape[0])
+    return kron(ident, -1j * h) + kron(1j * h.conj(), ident)
 
 
 def drive_superoperator(params: ArrayParams) -> sparse.csr_matrix:
     """Superoperator of the drive alone: L_V rho = i [rho, V]."""
-    v = build_hamiltonian(params).v
-    ident = identity_op(params.dim)
-    return canonicalize(1j * (kron(v.T, ident) - kron(ident, v)))
+    return canonicalize(_hamiltonian_superop(build_hamiltonian(params).v))
+
+
+def dissipator(params: ArrayParams, sig) -> sparse.csr_matrix:
+    """Superoperator of everything but the drive,
+
+        L0 rho = -i (H0 rho - rho H0^dag)
+                 + 2 gamma_1d sum_{m,k} cos[phi (m-k)] s_m rho s_k^dag,
+
+    from the site lowering operators `sig`. With the bare sigma_m this is
+    the dissipative part of build_liouvillian; with sigma_m rotated by a
+    product of single-site unitaries it is L0 in the rotated frame."""
+    phi, g = params.phi, params.gamma_1d
+    mat = _hamiltonian_superop(coupling_hamiltonian(params, sig))
+    for m in range(len(sig)):
+        for k in range(len(sig)):
+            c = 2.0 * g * np.cos(phi * (m - k))
+            if abs(c) < 1e-15:
+                continue
+            # s_m rho s_k^dag: (conj(s_k) kron s_m)
+            mat = mat + c * kron(sig[k].conj(), sig[m])
+    return mat
 
 
 def build_liouvillian(params: ArrayParams, max_qubits=MAX_QUBITS_DEFAULT) -> Liouvillian:
@@ -93,20 +136,10 @@ def build_liouvillian(params: ArrayParams, max_qubits=MAX_QUBITS_DEFAULT) -> Lio
         raise ResourceLimitError(
             f"N={params.n_qubits} exceeds the dense superoperator budget "
             f"(N <= {max_qubits}); use apply_liouvillian for matrix-free evaluation")
-    n, phi, g = params.n_qubits, params.phi, params.gamma_1d
-    sig = lowering_ops(n)
-    ham = build_hamiltonian(params)
-    ident = identity_op(params.dim)
-    # -i (H rho - rho H^dag): vec -> -i (I kron H) + i (conj(H) kron I)
-    h = ham.total
-    mat = kron(ident, -1j * h) + kron(1j * h.conj(), ident)
-    for m in range(n):
-        for k in range(n):
-            c = 2.0 * g * np.cos(phi * (m - k))
-            if abs(c) < 1e-15:
-                continue
-            # sigma_m rho sigma_k^dag: (conj(sigma_k) kron sigma_m)
-            mat = mat + c * kron(sig[k].conj(), sig[m])
+    sig = lowering_ops(params.n_qubits)
+    # the drive changes the excitation number of one side of rho by one,
+    # which H0 and the jumps never do, so the two parts add on disjoint entries
+    mat = dissipator(params, sig) + _hamiltonian_superop(drive_hamiltonian(params, sig))
     return Liouvillian(params=params, matrix=canonicalize(mat))
 
 

@@ -14,7 +14,7 @@ from scipy import sparse
 # magnitude below which product entries are treated as exact-zero cancellations
 PRUNE_TOL = 1e-15
 
-_SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, excited = index 0
+SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, site basis (g, e)
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,21 @@ def identity_op(dim):
     return sparse.identity(dim, dtype=complex, format="csr")
 
 
-def lowering_op(site, n_qubits):
-    """Lowering operator sigma_site embedded in the 2^N Hilbert space."""
+def site_op(local, site, n_qubits):
+    """A single-qubit 2x2 operator acting on `site`, embedded in the 2^N
+    Hilbert space as identity on every other site."""
     if not 1 <= site <= n_qubits:
         raise ValueError(f"site {site} out of range 1..{n_qubits}")
     out = None
     for k in range(1, n_qubits + 1):
-        f = sparse.csr_matrix(_SIGMA) if k == site else identity_op(2)
+        f = sparse.csr_matrix(local) if k == site else identity_op(2)
         out = f if out is None else sparse.kron(out, f, format="csr")
     return canonicalize(out)
+
+
+def lowering_op(site, n_qubits):
+    """Lowering operator sigma_site embedded in the 2^N Hilbert space."""
+    return site_op(SIGMA, site, n_qubits)
 
 
 def raising_op(site, n_qubits):

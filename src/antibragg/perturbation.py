@@ -1,11 +1,19 @@
-"""Strong-drive degenerate perturbation theory.
+"""Strong-drive degenerate perturbation theory in the product drive eigenbasis.
 
 The superoperator is split as L = L0 + L_V with L_V rho = i [rho, V].
-Diagonalizing the Hermitian drive operator V gives eigenstates |a> with
-eigenvalues v_a, and the 4^N outer products |a><b| are eigenstates of
-L_V with purely imaginary eigenvalues -i (v_a - v_b). The dissipative
-part L0 is then folded into the degenerate lambda_V = 0 subspace order
-by order in gamma_1d / omega_r:
+The drive V = omega_r sum_k (exp(i theta_k) sigma_k^dag + h.c.) is a sum
+of single-site terms, so it is diagonalized site by site: each 2x2 term
+has eigenvalues -omega_r and +omega_r with eigenvectors u_k, and the
+eigenstates of V are the product states |a> = (u_1 x ... x u_N)|a_1..a_N>
+with v_a = omega_r times the sum of the site signs. The 4^N outer
+products |a><b| are eigenstates of L_V with purely imaginary eigenvalues
+-i (v_a - v_b); those with equal sign sums span the lambda_V = 0
+subspace, of dimension C(2N, N).
+
+In this basis L0 is the dissipator of the model built from the rotated
+site operators u_k^dag sigma_k u_k. Each of them still acts on one site,
+so L0 stays sparse (176k nonzeros at N=6, against 4^12 dense entries).
+It is folded into the zero subspace order by order in gamma_1d / omega_r:
 
     order 1:  P0 L0 P0
     order 2:  P0 L0 G L0 P0
@@ -13,20 +21,30 @@ by order in gamma_1d / omega_r:
                    - (L0 G^2 L0 P0 L0 + L0 P0 L0 G^2 L0) / 2 ] P0
 
 with P0 the zero-subspace projector and G = -sum_mu |mu>><<mu| / lambda_mu
-over the nonzero drive modes. Projectors use the Hilbert-Schmidt inner
-product, under which L_V is anti-Hermitian.
+over the nonzero drive modes, diagonal in this basis. Projectors use the
+Hilbert-Schmidt inner product, under which L_V is anti-Hermitian. Only
+the C(2N, N)-square results are dense; the 4^N x 4^N basis itself is
+formed only when read.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .model import build_hamiltonian, build_liouvillian, drive_superoperator
-from .operators import ArrayParams
+from .model import build_liouvillian, dissipator, drive_phases
+from .operators import SIGMA, ArrayParams, canonicalize, site_op
 from . import spectra
 
-DEGENERACY_LEAK_TOL = 1e-12
+
+def _outer_columns(u, q):
+    """Columns vec(|a><b|) = conj(u_b) kron u_a for the superoperator
+    indices q = b*dim + a, with the states |a> the columns of u."""
+    dim = u.shape[0]
+    a, b = q % dim, q // dim
+    return (u.conj()[:, None, b] * u[None, :, a]).reshape(dim * dim, len(q))
 
 
 @dataclass
@@ -35,7 +53,27 @@ class DriveEigenbasis:
     v_eigenvalues: np.ndarray        # real, ascending; units of the drive
     jz_labels: np.ndarray            # v / (2 omega_r), half-integer sums
     superop_eigenvalues: np.ndarray  # -i (v_a - v_b), purely imaginary
-    basis: np.ndarray                # columns vec(|a><b|), HS-orthonormal
+    site_unitaries: np.ndarray       # (N, 2, 2); columns: -omega_r, +omega_r states
+    sort_index: np.ndarray           # product-state index of each sorted eigenstate
+
+    @property
+    def states(self):
+        """Eigenstates of V as the columns of a dense 2^N x 2^N unitary."""
+        return functools.reduce(np.kron, self.site_unitaries)[:, self.sort_index]
+
+    @property
+    def basis(self):
+        """Columns vec(|a><b|) at q = b*dim + a, HS-orthonormal; dense
+        4^N x 4^N, built on each read."""
+        return _outer_columns(self.states, np.arange(self.params.dim ** 2))
+
+    def rotated_lowering_ops(self):
+        """Site lowering operators u_k^dag sigma_k u_k, sparse, with rows and
+        columns in the order of v_eigenvalues."""
+        n = self.params.n_qubits
+        ops = [site_op(u.conj().T @ SIGMA @ u, k, n)
+               for k, u in enumerate(self.site_unitaries, start=1)]
+        return [canonicalize(s[self.sort_index][:, self.sort_index]) for s in ops]
 
 
 @dataclass
@@ -49,7 +87,8 @@ class EffectivePT:
 
     @property
     def p0_basis(self):
-        return self.basis.basis[:, self.zero_mask]
+        """The zero-subspace columns of basis.basis, 4^N x zero_dim."""
+        return _outer_columns(self.basis.states, np.flatnonzero(self.zero_mask))
 
     @property
     def zero_dim(self):
@@ -62,20 +101,29 @@ class EffectivePT:
 def drive_eigenbasis(params: ArrayParams) -> DriveEigenbasis:
     if params.omega_r <= 0:
         raise ValueError("drive eigenbasis requires omega_r > 0")
-    v = build_hamiltonian(params).v.toarray()
-    va, u = np.linalg.eigh(v)
-    dim = params.dim
-    # column q = b*dim + a holds vec(|a><b|) = conj(u_b) kron u_a
-    basis = np.kron(u.conj(), u)
+    n, dim = params.n_qubits, params.dim
+    # site term omega_r [[0, e^{-i theta}], [e^{i theta}, 0]] has the
+    # eigenvectors (1, -e^{i theta})/sqrt(2) at -omega_r, (1, e^{i theta})/sqrt(2) at +omega_r
+    ph = np.exp(1j * drive_phases(params))
+    us = np.empty((n, 2, 2), dtype=complex)
+    us[:, 0, :] = 1.0
+    us[:, 1, 0], us[:, 1, 1] = -ph, ph
+    us /= np.sqrt(2.0)
+    # site 1 is the leading bit of the product index; bit 1 is the +omega_r state
+    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    signs = 2 * bits.sum(axis=1) - n
+    sort_index = np.argsort(signs, kind="stable")
+    va = params.omega_r * signs[sort_index]
+    # column q = b*dim + a holds vec(|a><b|)
     a_idx = np.tile(np.arange(dim), dim)
     b_idx = np.repeat(np.arange(dim), dim)
-    lam = -1j * (va[a_idx] - va[b_idx])
     return DriveEigenbasis(
         params=params,
         v_eigenvalues=va,
         jz_labels=va / (2.0 * params.omega_r),
-        superop_eigenvalues=lam,
-        basis=basis,
+        superop_eigenvalues=-1j * (va[a_idx] - va[b_idx]),
+        site_unitaries=us,
+        sort_index=sort_index,
     )
 
 
@@ -92,25 +140,18 @@ def effective_liouvillian(params: ArrayParams) -> EffectivePT:
     """Order 1-3 effective operators on the drive zero subspace."""
     basis = drive_eigenbasis(params)
     pt = zero_projector(basis)
-    lam = basis.superop_eigenvalues
-    nz = ~pt.zero_mask
-    if np.any(np.abs(lam[nz]) < DEGENERACY_LEAK_TOL * params.omega_r):
-        raise ArithmeticError("near-zero drive eigenvalue leaked into a resolvent denominator")
-    lfull = build_liouvillian(params).matrix
-    l0 = lfull - drive_superoperator(params)
-    b = basis.basis
-    m0 = b.conj().T @ (l0 @ b)
-    z = pt.zero_mask
-    mzz = m0[np.ix_(z, z)]
-    mzn = m0[np.ix_(z, nz)]
-    mnz = m0[np.ix_(nz, z)]
-    mnn = m0[np.ix_(nz, nz)]
-    g = pt.g_diagonal
+    # L0 in the drive eigenbasis, B^H L0 B with B = basis.basis
+    m0 = dissipator(params, basis.rotated_lowering_ops())
+    zi, ni = np.flatnonzero(pt.zero_mask), np.flatnonzero(~pt.zero_mask)
+    rows_z, rows_n = m0[zi], m0[ni]
+    mzz, mzn = rows_z[:, zi].toarray(), rows_z[:, ni]
+    mnz, mnn = rows_n[:, zi], rows_n[:, ni]
+    g = sparse.diags(pt.g_diagonal)
+    gmnz = g @ mnz
+    s = (mzn @ (g @ gmnz)).toarray()
     pt.l_eff_order1 = mzz
-    pt.l_eff_order2 = mzn @ (g[:, None] * mnz)
-    s = mzn @ ((g ** 2)[:, None] * mnz)
-    pt.l_eff_order3 = (mzn @ (g[:, None] * (mnn @ (g[:, None] * mnz)))
-                       - 0.5 * (s @ mzz + mzz @ s))
+    pt.l_eff_order2 = (mzn @ gmnz).toarray()
+    pt.l_eff_order3 = (mzn @ (g @ (mnn @ gmnz))).toarray() - 0.5 * (s @ mzz + mzz @ s)
     return pt
 
 

@@ -5,6 +5,7 @@ the "second longest-living" state is always index 1. One eigenvalue is
 exactly zero (the steady state); dark states add further exact zeros.
 """
 
+import dataclasses
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -139,9 +140,7 @@ def targeted_spectrum(liou: Liouvillian, shift=0.0, k=8, maxiter=None) -> Spectr
         got = len(exc.eigenvalues)
         raise ConvergenceError(
             f"shift-invert Arnoldi converged only {got}/{k} pairs at shift {shift}") from exc
-    scale = scipy.sparse.linalg.norm(mat)
-    return _package(w, v, matrix=mat.toarray() if mat.shape[0] <= DENSE_BUDGET_DEFAULT else None,
-                    residual_scale=scale)
+    return _package(w, v, matrix=mat, residual_scale=scipy.sparse.linalg.norm(mat))
 
 
 @functools.lru_cache(maxsize=64)
@@ -186,9 +185,7 @@ def subradiant_count(params: ArrayParams, rate_threshold=SUBRADIANT_THRESHOLD,
 
     c = count_at(params)
     if check_stability:
-        doubled = ArrayParams(params.n_qubits, params.phi, params.gamma_1d,
-                              2.0 * params.omega_r)
-        c2 = count_at(doubled)
+        c2 = count_at(dataclasses.replace(params, omega_r=2.0 * params.omega_r))
         if c2 != c:
             raise UnstableCountError(c, c2)
     return c

@@ -1,7 +1,10 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from antibragg.model import build_liouvillian, drive_superoperator, vec
+from antibragg.model import build_hamiltonian, build_liouvillian, drive_superoperator, vec
 from antibragg.operators import ArrayParams, lowering_op
 from antibragg.perturbation import (drive_eigenbasis, effective_liouvillian,
                                     order1_nullspace_dim, pt_dark_count,
@@ -81,6 +84,11 @@ class TestZeroSubspace:
         assert pt.zero_dim == expected
         assert len(pt.g_diagonal) == params.dim ** 2 - expected
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dimension_is_central_binomial(self, n):
+        pt = zero_projector(drive_eigenbasis(anti_bragg(n, 3.0)))
+        assert pt.zero_dim == comb(2 * n, n)
+
     def test_resolvent_inverts_on_complement(self):
         eb = drive_eigenbasis(anti_bragg(2, 3.0))
         pt = zero_projector(eb)
@@ -89,7 +97,7 @@ class TestZeroSubspace:
 
 
 class TestEffectiveOperator:
-    @pytest.mark.parametrize("n,expected", [(3, 2), (4, 4), (5, 10)])
+    @pytest.mark.parametrize("n,expected", [(3, 2), (4, 4), (5, 10), (6, 25)])
     def test_first_order_dark_count(self, n, expected):
         assert pt_dark_count(anti_bragg(n, 20.0)) == expected
 
@@ -142,6 +150,42 @@ class TestEffectiveOperator:
         n3 = np.linalg.norm(pt.l_eff_order3)
         assert n2 < 0.2 * n1
         assert n3 < 0.2 * n2
+
+
+def dense_oracle(params):
+    """Orders 1-3 mapped back onto the full 4^N space, P0_b M P0_b^H, from
+    the dense eigh basis of V and the dense L0. The projection makes the
+    comparison independent of the basis chosen inside each degenerate
+    drive eigenspace."""
+    va, u = np.linalg.eigh(build_hamiltonian(params).v.toarray())
+    dim = params.dim
+    b = np.kron(u.conj(), u)
+    lam = -1j * (np.tile(va, dim) - np.repeat(va, dim))
+    z = np.abs(lam) < 1e-9 * params.omega_r
+    l0 = (build_liouvillian(params).matrix - drive_superoperator(params)).toarray()
+    m0 = b.conj().T @ l0 @ b
+    mzz, mzn, mnz, mnn = (m0[np.ix_(r, c)] for r in (z, ~z) for c in (z, ~z))
+    g = -1.0 / lam[~z]
+    s = mzn @ ((g ** 2)[:, None] * mnz)
+    orders = (mzz, mzn @ (g[:, None] * mnz),
+              mzn @ (g[:, None] * (mnn @ (g[:, None] * mnz))) - 0.5 * (s @ mzz + mzz @ s))
+    bz = b[:, z]
+    return [bz @ o @ bz.conj().T for o in orders]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), phi=st.floats(0.0, 6.28), omega_r=st.floats(2.0, 60.0),
+       from_right=st.booleans())
+def test_effective_orders_match_dense_oracle(n, phi, omega_r, from_right):
+    params = ArrayParams(n, phi, GAMMA, omega_r, drive_from_right=from_right)
+    pt = effective_liouvillian(params)
+    p0 = pt.p0_basis
+    for k, (order, want) in enumerate(zip(
+            (pt.l_eff_order1, pt.l_eff_order2, pt.l_eff_order3), dense_oracle(params))):
+        got = p0 @ order @ p0.conj().T
+        # order k+1 is of size gamma (gamma / omega_r)^k; some vanish at N=1
+        scale = max(np.max(np.abs(want)), GAMMA * (GAMMA / omega_r) ** k)
+        assert np.max(np.abs(got - want)) < 1e-10 * scale
 
 
 class TestXiCoefficient:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from antibragg import spectra
 from antibragg.model import ResourceLimitError, build_liouvillian, vec
 from antibragg.operators import ArrayParams, lowering_op
 from antibragg.spectra import (UnstableCountError, eigenstate_correlations,
@@ -110,6 +113,19 @@ class TestScalarObservables:
         p = ArrayParams(5, np.pi / 2, omega_r=5.0)
         with pytest.raises(UnstableCountError):
             subradiant_count(p)
+
+    def test_doubled_drive_keeps_mirror_flag(self, monkeypatch):
+        seen = []
+
+        def record(params):
+            seen.append(params)
+            return np.zeros(1, dtype=complex)
+
+        monkeypatch.setattr(spectra, "_eigenvalues_cached", record)
+        p = ArrayParams(3, np.pi / 2, omega_r=4.0, drive_from_right=True)
+        subradiant_count(p)
+        assert seen == [p, dataclasses.replace(p, omega_r=8.0)]
+        assert seen[1].drive_from_right
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_undriven_anti_bragg_rate_scaling(self, n):
