@@ -11,12 +11,12 @@ from .model import (Hamiltonian, Liouvillian, ResourceLimitError,
                     apply_liouvillian, build_hamiltonian, build_liouvillian)
 from .spectra import (SpectrumResult, ConvergenceError, UnstableCountError,
                       full_spectrum, targeted_spectrum, second_slowest_rate,
-                      kernel_dimension, subradiant_count,
-                      eigenstate_correlations, sweep)
+                      kernel_dimension, subradiant_count, sweep)
 from .perturbation import (DriveEigenbasis, EffectivePT, XiReport,
                            drive_eigenbasis, zero_projector,
                            effective_liouvillian, pt_dark_count, xi_coefficient)
-from .dynamics import Trajectory, fully_excited_state, evolve, correlator
+from .dynamics import (Trajectory, fully_excited_state, evolve,
+                       correlation_map)
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,8 @@ __all__ = [
     "apply_liouvillian", "build_hamiltonian", "build_liouvillian",
     "SpectrumResult", "ConvergenceError", "UnstableCountError",
     "full_spectrum", "targeted_spectrum", "second_slowest_rate",
-    "kernel_dimension", "subradiant_count", "eigenstate_correlations", "sweep",
+    "kernel_dimension", "subradiant_count", "sweep",
     "DriveEigenbasis", "EffectivePT", "XiReport", "drive_eigenbasis",
     "zero_projector", "effective_liouvillian", "pt_dark_count", "xi_coefficient",
-    "Trajectory", "fully_excited_state", "evolve", "correlator",
+    "Trajectory", "fully_excited_state", "evolve", "correlation_map",
 ]

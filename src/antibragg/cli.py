@@ -167,14 +167,6 @@ def build_parser():
         sp.add_argument("--gamma", type=float, default=1.0,
                         help="single-qubit decay rate (output scaling)")
         sp.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        sp.add_argument("--jobs", type=int, default=None, help="sweep worker processes")
-        sp.add_argument("--zero-tol", type=float, default=spectra.ZERO_TOL,
-                        help="|lambda| threshold for exact zeros, units gamma")
-        sp.add_argument("--subradiant-threshold", type=float,
-                        default=spectra.SUBRADIANT_THRESHOLD,
-                        help="|Re lambda| threshold for subradiant counting, units gamma")
-        sp.add_argument("--tol-integrator", type=float, default=dynamics.DEFAULT_RTOL,
-                        help="local relative tolerance of the time integrator")
         sp.add_argument("--drive-from-right", action="store_true",
                         help="mirror the drive phases (injection from the right end)")
 
@@ -184,12 +176,18 @@ def build_parser():
 
     sp = sub.add_parser("darkcount", help="number of exact dark eigenstates")
     common(sp)
+    sp.add_argument("--zero-tol", type=float, default=spectra.ZERO_TOL,
+                    help="|lambda| threshold for exact zeros, units gamma")
     sp.set_defaults(func=cmd_darkcount)
 
     sp = sub.add_parser("sweep", help="observable over a parameter grid")
     common(sp, omega_range=True, d_range=True)
     sp.add_argument("--observable", choices=spectra.OBSERVABLES,
                     default="second_slowest_rate")
+    sp.add_argument("--jobs", type=int, default=None, help="sweep worker processes")
+    sp.add_argument("--subradiant-threshold", type=float,
+                    default=spectra.SUBRADIANT_THRESHOLD,
+                    help="|Re lambda| threshold for subradiant counting, units gamma")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("pt", help="strong-drive perturbation-theory report (JSON)")
@@ -200,6 +198,8 @@ def build_parser():
     common(sp)
     sp.add_argument("--t-max", type=float, default=10.0, help="final time, units 1/gamma")
     sp.add_argument("--samples", type=int, default=dynamics.DEFAULT_SAMPLES)
+    sp.add_argument("--tol-integrator", type=float, default=dynamics.DEFAULT_RTOL,
+                    help="local relative tolerance of the time integrator")
     sp.set_defaults(func=cmd_evolve)
 
     return parser

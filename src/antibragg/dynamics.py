@@ -7,7 +7,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import apply_liouvillian
-from .operators import ArrayParams, lowering_op
+from .operators import ArrayParams
 
 DEFAULT_SAMPLES = 200
 DEFAULT_RTOL = 1e-10
@@ -37,27 +37,22 @@ def fully_excited_state(n_qubits):
     return rho
 
 
-def correlator(rho, n, m):
-    """<sigma_n^dag sigma_m> = Tr[rho sigma_n^dag sigma_m], 1-based sites."""
-    rho = np.asarray(rho)
-    n_qubits = int(round(np.log2(rho.shape[0])))
-    if not (1 <= n <= n_qubits and 1 <= m <= n_qubits):
-        raise ValueError(f"site indices ({n}, {m}) out of range 1..{n_qubits}")
-    sn = lowering_op(n, n_qubits).toarray()
-    sm = lowering_op(m, n_qubits).toarray()
-    return complex(np.trace(rho @ sn.conj().T @ sm))
+def correlation_map(rho):
+    """C[n, m] = <sigma_n^dag sigma_m> = Tr[rho sigma_n^dag sigma_m] over the
+    sites n, m = 0..N-1.
 
-
-def correlation_map(rho, sig=None):
-    rho = np.asarray(rho)
-    n_qubits = int(round(np.log2(rho.shape[0])))
-    if sig is None:
-        sig = [lowering_op(k, n_qubits).toarray() for k in range(1, n_qubits + 1)]
-    c = np.empty((n_qubits, n_qubits), dtype=complex)
-    for n in range(n_qubits):
-        for m in range(n_qubits):
-            c[n, m] = np.trace(rho @ sig[n].conj().T @ sig[m])
-    return c
+    sigma_n^dag sigma_m takes |k | b_m> to |k | b_n> for every basis index k
+    with bits n and m down (b_s is the bit of site s; site 0 is the leading
+    bit), so C[n, m] is the sum of rho[k | b_m, k | b_n] over those k."""
+    rho = np.asarray(rho, dtype=complex)
+    n_qubits = rho.shape[0].bit_length() - 1
+    if rho.shape != (2 ** n_qubits, 2 ** n_qubits):
+        raise ValueError(f"density matrix must be 2^N x 2^N, got {rho.shape}")
+    bits = 1 << np.arange(n_qubits - 1, -1, -1)
+    k = np.arange(2 ** n_qubits)[:, None, None]
+    b_n, b_m = bits[:, None], bits[None, :]
+    down = ((k & b_n) == 0) & ((k & b_m) == 0)
+    return np.where(down, rho[k | b_m, k | b_n], 0.0).sum(axis=0)
 
 
 def _check_initial_state(rho0):
@@ -94,14 +89,13 @@ def evolve(params: ArrayParams, rho0, t_max, samples=DEFAULT_SAMPLES,
                               f"{sol.message}")
 
     n = params.n_qubits
-    sig = [lowering_op(k, n).toarray() for k in range(1, n + 1)]
     corr = np.empty((samples, n, n), dtype=complex)
     drift = np.empty(samples)
     purity = np.empty(samples)
     pos_check_stride = max(1, samples // 10)
     for i in range(samples):
         rho = sol.y[:, i].reshape(dim, dim)
-        corr[i] = correlation_map(rho, sig)
+        corr[i] = correlation_map(rho)
         drift[i] = abs(np.trace(rho) - 1.0)
         purity[i] = float(np.real(np.trace(rho @ rho)))
         if i % pos_check_stride == 0:

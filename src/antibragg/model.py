@@ -11,15 +11,18 @@ with H = H0 + V,
     H0 = -i gamma_1d sum_{m,n} sigma_m^dag sigma_n exp(i phi |m-n|)
     V  = omega_r sum_n (sigma_n^dag exp(-i phi n) + h.c.)
 
-in the frame rotating at the qubit resonance. The anti-Hermitian
-combination is written as -i(H rho - rho H^dag); this is the unique
-ordering that preserves the trace together with the jump term above.
+in the frame rotating at the qubit resonance. The recycling term has
+rank 2: it is A rho A^dag + B rho B^dag with the collective jumps
+A, B = sqrt(gamma_1d) sum_m exp(+-i phi m) sigma_m, emission into the
+right- and left-going modes. The anti-Hermitian combination is written
+as -i(H rho - rho H^dag); this is the unique ordering that preserves the
+trace together with the jump term above.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T kron A) vec(X).
 """
 
-import struct
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -28,8 +31,6 @@ from .operators import ArrayParams, canonicalize, identity_op, kron, lowering_op
 
 # 4^N above this qubit count is refused by the dense superoperator builder
 MAX_QUBITS_DEFAULT = 7
-
-VECTORIZATION = "column-stacking"
 
 
 class ResourceLimitError(RuntimeError):
@@ -47,7 +48,6 @@ class Hamiltonian:
 class Liouvillian:
     params: ArrayParams
     matrix: sparse.csr_matrix  # 4^N x 4^N
-    convention: str = field(default=VECTORIZATION)
 
 
 def vec(x):
@@ -110,25 +110,29 @@ def drive_superoperator(params: ArrayParams) -> sparse.csr_matrix:
     return canonicalize(_hamiltonian_superop(build_hamiltonian(params).v))
 
 
+def collective_jumps(params: ArrayParams, sig):
+    """Jump operators A, B = sqrt(gamma_1d) sum_m exp(+-i phi m) s_m of emission
+    into the right- and left-going waveguide modes, over the site lowering
+    operators `sig` (bare or in any product-rotated frame). Their recycling
+    term A rho A^dag + B rho B^dag equals
+    2 gamma_1d sum_{m,k} cos[phi (m-k)] s_m rho s_k^dag."""
+    amp = np.sqrt(params.gamma_1d) * np.exp(1j * params.phi * np.arange(len(sig)))
+    return [canonicalize(sum(c * s for c, s in zip(coef, sig)))
+            for coef in (amp, amp.conj())]
+
+
 def dissipator(params: ArrayParams, sig) -> sparse.csr_matrix:
     """Superoperator of everything but the drive,
 
-        L0 rho = -i (H0 rho - rho H0^dag)
-                 + 2 gamma_1d sum_{m,k} cos[phi (m-k)] s_m rho s_k^dag,
+        L0 rho = -i (H0 rho - rho H0^dag) + sum_{J = A, B} J rho J^dag,
 
     from the site lowering operators `sig`. With the bare sigma_m this is
     the dissipative part of build_liouvillian; with sigma_m rotated by a
     product of single-site unitaries it is L0 in the rotated frame."""
-    phi, g = params.phi, params.gamma_1d
     mat = _hamiltonian_superop(coupling_hamiltonian(params, sig))
-    for m in range(len(sig)):
-        for k in range(len(sig)):
-            c = 2.0 * g * np.cos(phi * (m - k))
-            if abs(c) < 1e-15:
-                continue
-            # s_m rho s_k^dag: (conj(s_k) kron s_m)
-            mat = mat + c * kron(sig[k].conj(), sig[m])
-    return mat
+    for j in collective_jumps(params, sig):
+        mat = mat + kron(j.conj(), j)  # J rho J^dag under column stacking
+    return canonicalize(mat)
 
 
 def build_liouvillian(params: ArrayParams, max_qubits=MAX_QUBITS_DEFAULT) -> Liouvillian:
@@ -143,54 +147,18 @@ def build_liouvillian(params: ArrayParams, max_qubits=MAX_QUBITS_DEFAULT) -> Lio
     return Liouvillian(params=params, matrix=canonicalize(mat))
 
 
-def apply_liouvillian(params: ArrayParams, rho, _cache={}):
+@functools.lru_cache(maxsize=16)
+def _dense_generators(params: ArrayParams):
+    """Dense H = H0 + V and the collective jumps (A, B) of `params`."""
+    jumps = collective_jumps(params, lowering_ops(params.n_qubits))
+    return build_hamiltonian(params).total.toarray(), tuple(j.toarray() for j in jumps)
+
+
+def apply_liouvillian(params: ArrayParams, rho):
     """Matrix-free evaluation of L rho for a 2^N x 2^N density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    key = params
-    ops = _cache.get(key)
-    if ops is None:
-        ham = build_hamiltonian(params)
-        sig = lowering_ops(params.n_qubits)
-        jumps = []
-        n, phi, g = params.n_qubits, params.phi, params.gamma_1d
-        dense_sig = [s.toarray() for s in sig]
-        for m in range(n):
-            for k in range(n):
-                c = 2.0 * g * np.cos(phi * (m - k))
-                if abs(c) >= 1e-15:
-                    jumps.append((c, dense_sig[m], dense_sig[k].conj().T))
-        ops = (ham.total.toarray(), jumps)
-        if len(_cache) > 16:
-            _cache.clear()
-        _cache[key] = ops
-    h, jumps = ops
+    h, jumps = _dense_generators(params)
     out = -1j * (h @ rho - rho @ h.conj().T)
-    for c, a, bdag in jumps:
-        out = out + c * (a @ rho @ bdag)
+    for j in jumps:
+        out += j @ rho @ j.conj().T
     return out
-
-
-def dump_liouvillian(liou: Liouvillian, path):
-    """Binary dump in the canonical sparse layout, for cross-implementation
-    diffing: dims, entry count, then sorted (row, col, re, im) records,
-    all little-endian."""
-    coo = liou.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    with open(path, "wb") as f:
-        f.write(struct.pack("<qqq", coo.shape[0], coo.shape[1], coo.nnz))
-        rec = np.empty(coo.nnz, dtype=[("r", "<i8"), ("c", "<i8"), ("re", "<f8"), ("im", "<f8")])
-        rec["r"], rec["c"] = rows, cols
-        rec["re"], rec["im"] = vals.real, vals.imag
-        f.write(rec.tobytes())
-
-
-def load_liouvillian_matrix(path):
-    """Read back a matrix written by dump_liouvillian."""
-    with open(path, "rb") as f:
-        nr, nc, nnz = struct.unpack("<qqq", f.read(24))
-        rec = np.frombuffer(f.read(), dtype=[("r", "<i8"), ("c", "<i8"), ("re", "<f8"), ("im", "<f8")])
-    if len(rec) != nnz:
-        raise ValueError("truncated Liouvillian dump")
-    vals = rec["re"] + 1j * rec["im"]
-    return canonicalize(sparse.coo_matrix((vals, (rec["r"], rec["c"])), shape=(nr, nc)))

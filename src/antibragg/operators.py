@@ -87,36 +87,7 @@ def lowering_op(site, n_qubits):
     return site_op(SIGMA, site, n_qubits)
 
 
-def raising_op(site, n_qubits):
-    return canonicalize(lowering_op(site, n_qubits).conj().T)
-
-
-def op_product(a, b):
-    """Sparse matrix product with pruning of exact-zero cancellations."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return canonicalize(a @ b)
-
-
 def kron(a, b):
     """Kronecker product, consistent with column-stacking vectorization:
     kron(b.T, a) @ vec(x) = vec(a @ x @ b)."""
     return canonicalize(sparse.kron(a, b, format="csr"))
-
-
-def number_op(n_qubits):
-    """Total excitation operator sum_m sigma_m^dag sigma_m."""
-    dim = 2 ** n_qubits
-    out = sparse.csr_matrix((dim, dim), dtype=complex)
-    for m in range(1, n_qubits + 1):
-        s = lowering_op(m, n_qubits)
-        out = out + s.conj().T @ s
-    return canonicalize(out)
-
-
-def approx_equal(a, b, tol=1e-12):
-    """Equality up to tolerance in the max-abs entry difference."""
-    if a.shape != b.shape:
-        return False
-    d = (a - b).tocoo()
-    return d.nnz == 0 or np.max(np.abs(d.data)) <= tol

@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .model import ResourceLimitError, build_liouvillian, unvec, Liouvillian
-from .operators import ArrayParams, lowering_op
+from .operators import ArrayParams
 
 DENSE_BUDGET_DEFAULT = 4096      # 4^N, i.e. N <= 6
 ZERO_TOL = 1e-8                  # |lambda| below this counts as an exact zero
@@ -154,7 +154,7 @@ def second_slowest_rate(liou: Liouvillian, zero_tol=ZERO_TOL):
     Exactly one zero mode is excluded; with a degenerate dark kernel the
     rate is 0. Returns (rate, zero_multiplicity).
     """
-    w = _eigenvalues_cached(liou.params)
+    w = full_spectrum(liou).eigenvalues
     nzero = int(np.sum(np.abs(w) < zero_tol * liou.params.gamma_1d))
     if nzero > 1:
         return 0.0, nzero
@@ -164,7 +164,7 @@ def second_slowest_rate(liou: Liouvillian, zero_tol=ZERO_TOL):
 
 def kernel_dimension(liou: Liouvillian, tol=ZERO_TOL):
     """Number of dark eigenstates: eigenvalues with |lambda| < tol."""
-    w = _eigenvalues_cached(liou.params)
+    w = full_spectrum(liou).eigenvalues
     return int(np.sum(np.abs(w) < tol * liou.params.gamma_1d))
 
 
@@ -188,19 +188,6 @@ def subradiant_count(params: ArrayParams, rate_threshold=SUBRADIANT_THRESHOLD,
         c2 = count_at(dataclasses.replace(params, omega_r=2.0 * params.omega_r))
         if c2 != c:
             raise UnstableCountError(c, c2)
-    return c
-
-
-def eigenstate_correlations(rho):
-    """Spin-spin correlation map C[n, m] = Tr[rho sigma_n^dag sigma_m]."""
-    rho = np.asarray(rho)
-    dim = rho.shape[0]
-    n_qubits = int(round(np.log2(dim)))
-    sig = [lowering_op(m, n_qubits).toarray() for m in range(1, n_qubits + 1)]
-    c = np.empty((n_qubits, n_qubits), dtype=complex)
-    for n in range(n_qubits):
-        for m in range(n_qubits):
-            c[n, m] = np.trace(rho @ sig[n].conj().T @ sig[m])
     return c
 
 

@@ -12,12 +12,11 @@ import sys
 import numpy as np
 import pytest
 
-from antibragg.dynamics import evolve, fully_excited_state
+from antibragg.dynamics import correlation_map, evolve, fully_excited_state
 from antibragg.model import (apply_liouvillian, build_liouvillian, unvec, vec)
 from antibragg.operators import ArrayParams, lowering_op
 from antibragg.perturbation import xi_coefficient
-from antibragg.spectra import (UnstableCountError, eigen_density_matrix,
-                               eigenstate_correlations, full_spectrum,
+from antibragg.spectra import (UnstableCountError, eigen_density_matrix, full_spectrum,
                                kernel_dimension, second_slowest_rate,
                                subradiant_count)
 
@@ -135,7 +134,7 @@ class TestCriterion6Checkerboard:
         liou = build_liouvillian(ArrayParams(5, np.pi / 2, GAMMA, 10.0))
         r = full_spectrum(liou, want_vectors=True)
         rho = eigen_density_matrix(r, 1, 32)
-        a = np.abs(eigenstate_correlations(rho))
+        a = np.abs(correlation_map(rho))
         same = min(a[n, m] for n in range(5) for m in range(5)
                    if n != m and (n - m) % 2 == 0)
         opp = max(a[n, m] for n in range(5) for m in range(5) if (n - m) % 2 == 1)

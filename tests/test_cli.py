@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from antibragg.cli import main, parse_range
+from antibragg.cli import _config, build_parser, main, parse_range
 
 
 def run(capsys, *argv):
@@ -135,3 +135,29 @@ class TestErrors:
         code, _, err = run(capsys, "sweep", "--n", "2", "--omega-r", "1:2")
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
+
+
+class TestFlags:
+    COMMON = {"command", "n", "d_over_lambda", "omega_r", "gamma", "out", "drive_from_right"}
+    OWN = {
+        "spectrum": set(),
+        "darkcount": {"zero_tol"},
+        "sweep": {"observable", "jobs", "subradiant_threshold"},
+        "pt": set(),
+        "evolve": {"t_max", "samples", "tol_integrator"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OWN))
+    def test_config_echoes_only_own_flags(self, command):
+        args = build_parser().parse_args([command, "--n", "2"])
+        assert set(_config(args)) == self.COMMON | self.OWN[command]
+
+    def test_header_has_only_own_flags(self, capsys):
+        _, out, _ = run(capsys, "darkcount", "--n", "1")
+        config = json.loads(out.splitlines()[0].removeprefix("# config: "))
+        assert set(config) == self.COMMON | self.OWN["darkcount"]
+
+    def test_flag_of_another_command_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["pt", "--n", "2", "--jobs", "2"])
+        assert "--jobs" in capsys.readouterr().err

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from antibragg.dynamics import (correlation_map, correlator, evolve,
-                                fully_excited_state)
+from antibragg.dynamics import correlation_map, evolve, fully_excited_state
 from antibragg.model import build_liouvillian
 from antibragg.operators import ArrayParams, lowering_op
 from antibragg.spectra import full_spectrum
@@ -21,18 +20,19 @@ class TestStatesAndCorrelators:
         rho = fully_excited_state(2)
         assert rho.shape == (4, 4)
         assert np.trace(rho) == pytest.approx(1.0)
-        for n in (1, 2):
-            assert correlator(rho, n, n) == pytest.approx(1.0)
-        assert correlator(rho, 1, 2) == pytest.approx(0.0)
+        c = correlation_map(rho)
+        for n in (0, 1):
+            assert c[n, n] == pytest.approx(1.0)
+        assert c[0, 1] == pytest.approx(0.0)
 
     def test_fully_excited_invalid(self):
         with pytest.raises(ValueError):
             fully_excited_state(0)
 
     def test_dark_state_coherence(self):
-        rho = dark_two_qubit_state()
-        assert correlator(rho, 1, 1) == pytest.approx(0.5)
-        assert correlator(rho, 1, 2) == pytest.approx(0.5)
+        c = correlation_map(dark_two_qubit_state())
+        assert c[0, 0] == pytest.approx(0.5)
+        assert c[0, 1] == pytest.approx(0.5)
 
     def test_correlation_map_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -42,13 +42,13 @@ class TestStatesAndCorrelators:
         c = correlation_map(rho)
         for n in range(1, 4):
             for m in range(1, 4):
-                assert c[n - 1, m - 1] == pytest.approx(correlator(rho, n, m))
+                sn, sm = lowering_op(n, 3).toarray(), lowering_op(m, 3).toarray()
+                assert c[n - 1, m - 1] == pytest.approx(np.trace(rho @ sn.conj().T @ sm))
 
-    def test_site_out_of_range(self):
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 8), (8,)])
+    def test_correlation_map_rejects_non_qubit_shape(self, shape):
         with pytest.raises(ValueError):
-            correlator(np.eye(4) / 4, 0, 1)
-        with pytest.raises(ValueError):
-            correlator(np.eye(4) / 4, 1, 3)
+            correlation_map(np.zeros(shape))
 
 
 class TestEvolve:

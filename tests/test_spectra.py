@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from antibragg import spectra
-from antibragg.model import ResourceLimitError, build_liouvillian, vec
+from antibragg.dynamics import correlation_map
+from antibragg.model import Liouvillian, ResourceLimitError, build_liouvillian, vec
 from antibragg.operators import ArrayParams, lowering_op
-from antibragg.spectra import (UnstableCountError, eigenstate_correlations,
-                               eigen_density_matrix, full_spectrum,
+from antibragg.spectra import (UnstableCountError, eigen_density_matrix, full_spectrum,
                                kernel_dimension, second_slowest_rate,
                                subradiant_count, sweep, targeted_spectrum)
 
@@ -96,6 +96,17 @@ class TestScalarObservables:
         assert rate == 0.0
         assert nzero == 2
 
+    def test_rate_read_from_the_given_matrix(self):
+        l = liou(3, 1.1, omega=2.0)
+        rate, _ = second_slowest_rate(l)
+        doubled, _ = second_slowest_rate(Liouvillian(l.params, 2 * l.matrix))
+        assert doubled == pytest.approx(2 * rate, rel=1e-10)
+
+    def test_kernel_read_from_the_given_matrix(self):
+        # a half-wave matrix under off-Bragg params keeps its two dark states
+        half_wave = liou(2, np.pi, omega=5.0).matrix
+        assert kernel_dimension(Liouvillian(ArrayParams(2, 1.0, omega_r=5.0), half_wave)) == 2
+
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 5), (4, 14)])
     def test_half_wave_kernel_dimensions(self, n, expected):
         assert kernel_dimension(liou(n, np.pi, omega=7.0)) == expected
@@ -147,11 +158,11 @@ class TestCorrelations:
         vac = np.zeros(4)
         vac[0] = 1.0
         psi = (s1.conj().T + s2.conj().T) @ vac / np.sqrt(2)
-        c = eigenstate_correlations(np.outer(psi, psi.conj()))
+        c = correlation_map(np.outer(psi, psi.conj()))
         assert np.allclose(np.abs(c), 0.5, atol=1e-12)
 
     def test_maximally_mixed(self):
-        c = eigenstate_correlations(np.eye(8) / 8)
+        c = correlation_map(np.eye(8) / 8)
         assert np.allclose(np.diag(c), 0.5, atol=1e-12)
         assert np.max(np.abs(c - np.diag(np.diag(c)))) < 1e-12
 
@@ -159,7 +170,7 @@ class TestCorrelations:
         l = liou(5, np.pi / 2, omega=10.0)
         r = full_spectrum(l, want_vectors=True)
         rho = eigen_density_matrix(r, 1, 32)
-        a = np.abs(eigenstate_correlations(rho))
+        a = np.abs(correlation_map(rho))
         same = [a[n, m] for n in range(5) for m in range(5) if n != m and (n - m) % 2 == 0]
         opp = [a[n, m] for n in range(5) for m in range(5) if (n - m) % 2 == 1]
         assert min(same) >= 10 * max(opp)
